@@ -46,7 +46,9 @@ class InferenceServer:
     def __init__(self, model: SplitModel, name: str = "inference-server"):
         self.name = name
         self.model = model
+        # it only ever labels: frozen + eval lets every Conv->BN pair fold
         self.model.eval()
+        self.model.freeze()
         self._failed = False
 
     # -- fault injection ----------------------------------------------------

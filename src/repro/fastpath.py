@@ -20,12 +20,16 @@ Flags and what they gate
     Ingest preprocesses whole upload batches in one elementwise numpy
     call instead of per-photo.  Elementwise, therefore bit-neutral.
 ``vectorized_autograd``
-    ``nn/functional``'s conv contractions run as batched ``np.matmul``
-    (one BLAS call) instead of the per-call ``np.einsum`` dispatch, and
+    ``nn/functional``'s conv contractions run as one batched
+    ``np.matmul`` over every group instead of the per-group im2col +
+    ``np.matmul`` loop of ``_conv2d_grouped``, and
     ``BatchNorm2d`` takes a raw-numpy eval path that performs the exact
     same elementwise operations without building autograd nodes.  The
     contraction order over the reduced axis is unchanged, so outputs are
-    bit-identical; the equivalence suite enforces this.
+    bit-identical; the equivalence suite enforces this.  (The frozen-front
+    BatchNorm fold, ``nn.layers.Conv2d.forward_folded``, is not a flag:
+    it keys on the model being frozen and in eval mode, so every flag
+    setting runs it.)
 ``batch_decode``
     PipeStore decodes a batch of preprocessed binaries directly into one
     preallocated ``(N, C, H, W)`` array instead of per-photo
@@ -103,7 +107,7 @@ def overrides(**changes: bool):
     """Temporarily override individual switches.
 
     >>> with overrides(vectorized_autograd=False):
-    ...     ...  # scalar einsum conv path
+    ...     ...  # scalar per-group matmul conv path
     """
     previous = set_flags(replace(_flags, **changes))
     try:

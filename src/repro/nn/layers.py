@@ -59,12 +59,59 @@ class Conv2d(Module):
             )
         )
         self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        # (source arrays, folded weight, folded bias) of the last BN fold
+        self._fold = None
 
     def forward(self, x: Tensor) -> Tensor:
         out = F.conv2d(x, self.weight, self.stride, self.padding, self.groups)
         if self.bias is not None:
             out = out + self.bias.reshape(1, -1, 1, 1)
         return out
+
+    def can_fold(self, bn: "BatchNorm2d", x: Tensor) -> bool:
+        """Whether ``bn(self(x))`` may run as one folded conv.
+
+        Only a frozen, eval-mode, bias-free pair whose input is not being
+        differentiated folds: nothing downstream can then need the
+        unfolded intermediate or a gradient through it.
+        """
+        return (not self.training and not bn.training and self.bias is None
+                and not self.weight.requires_grad
+                and not bn.gamma.requires_grad and not bn.beta.requires_grad
+                and not (x.requires_grad and grad_enabled()))
+
+    def forward_folded(self, x: Tensor, bn: "BatchNorm2d", relu: bool) -> Tensor:
+        """``bn(self(x))`` (then ReLU) as one conv with BN in its weights.
+
+        Equal to the unfolded pair up to rounding: the scale moves from
+        the conv output onto the weight.  Returns a graph-free Tensor.
+        """
+        weight, bias = self._folded(bn)
+        out = F.conv2d(x, weight, self.stride, self.padding, self.groups).data
+        if out.dtype == bias.dtype:
+            out += bias
+        else:  # a float32 input promotes to the float64 bias, as BN does
+            out = out + bias
+        if relu:
+            np.maximum(out, 0, out=out)
+        return Tensor(out)
+
+    def _folded(self, bn: "BatchNorm2d"):
+        """The folded (weight Tensor, bias array), refolded only when a
+        source array was rebound (optimizer step, ``load_state_dict``,
+        ``cast``, a train-mode BN pass) — i.e. once per model version."""
+        sources = (self.weight.data, bn._buffers["running_mean"],
+                   bn._buffers["running_var"], bn.gamma.data, bn.beta.data)
+        fold = self._fold
+        if fold is None or any(a is not b for a, b in zip(fold[0], sources)):
+            w, mean, var, gamma, beta = sources
+            scale = (var + bn.eps) ** -0.5 * gamma
+            fold = self._fold = (
+                sources,
+                Tensor(w * scale.reshape(-1, 1, 1, 1)),
+                (beta - mean * scale).reshape(1, -1, 1, 1),
+            )
+        return fold[1], fold[2]
 
 
 class BatchNorm2d(Module):
@@ -202,8 +249,19 @@ class Sequential(Module):
         return self
 
     def forward(self, x: Tensor) -> Tensor:
-        for layer in self._layers:
-            x = layer(x)
+        layers = self._layers
+        i = 0
+        while i < len(layers):
+            layer = layers[i]
+            bn = layers[i + 1] if i + 1 < len(layers) else None
+            if (isinstance(layer, Conv2d) and isinstance(bn, BatchNorm2d)
+                    and layer.can_fold(bn, x)):
+                relu = i + 2 < len(layers) and isinstance(layers[i + 2], ReLU)
+                x = layer.forward_folded(x, bn, relu)
+                i += 3 if relu else 2
+            else:
+                x = layer(x)
+                i += 1
         return x
 
 
