@@ -15,7 +15,7 @@ from ..nn.layers import (
     Sequential,
 )
 from ..nn.module import Module
-from ..nn.tensor import Tensor, concat
+from ..nn.tensor import Tensor, concat, grad_enabled
 
 
 def conv_bn_relu(in_ch: int, out_ch: int, kernel: int, stride: int = 1,
@@ -54,7 +54,18 @@ class Bottleneck(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         out = self.conv3(self.conv2(self.conv1(x)))
-        return (out + self.shortcut(x)).relu()
+        short = self.shortcut(x)
+        recording = grad_enabled() and (out.requires_grad or short.requires_grad)
+        if recording or out.dtype != short.dtype:
+            return (out + short).relu()
+        # No graph is recorded, so join in place: conv3's output is a
+        # fresh array this block owns (``x`` or a conv's 1x1 columns may
+        # alias the caller's data and are never written).  The same ops
+        # as ``(out + short).relu()``, so the same bits, -0.0 included.
+        data = out.data
+        data += short.data
+        data *= data > 0
+        return out
 
 
 class InceptionModule(Module):

@@ -4,6 +4,11 @@ These are registered as autograd nodes on :class:`repro.nn.tensor.Tensor`.
 ``im2col``/``col2im`` use a small loop over kernel offsets (kernels are
 3x3-7x7) and vectorise over batch and spatial dimensions, which is the
 standard trade-off for a numpy implementation.
+
+Forward-only calls stay cheap: an unpadded 1x1 conv's columns are its
+input, padding is one zeros buffer, and a conv whose operands cannot be
+differentiated returns a graph-free Tensor without building a backward
+closure.  None of this changes a single output bit.
 """
 
 from __future__ import annotations
@@ -13,20 +18,45 @@ from typing import Tuple
 import numpy as np
 
 from ..fastpath import flags
-from .tensor import Tensor
+from .tensor import Tensor, grad_enabled
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def pad2d(x: np.ndarray, padding: int, value: float = 0.0) -> np.ndarray:
+    """Pad the two spatial dims of (N, C, H, W) with ``value``.
+
+    The bytes of ``np.pad(..., constant_values=value)``, without its
+    per-call argument normalisation: one filled buffer and one interior
+    assignment.
+    """
+    if not padding:
+        return x
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    if value:
+        out.fill(value)
+    out[:, :, padding:padding + h, padding:padding + w] = x
+    return out
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> Tuple[np.ndarray, int, int]:
-    """Unfold (N, C, H, W) into (N, C*kh*kw, OH*OW) patch columns."""
+    """Unfold (N, C, H, W) into (N, C*kh*kw, OH*OW) patch columns.
+
+    An unpadded 1x1 kernel's columns are the (strided) input itself: a
+    view when ``x`` is contiguous at stride 1, one strided copy
+    otherwise.  Callers must not write into the returned columns.
+    """
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    if kh == kw == 1 and not padding:
+        if stride != 1:
+            x = x[:, :, ::stride, ::stride]
+        return x.reshape(n, c, oh * ow), oh, ow
+    x = pad2d(x, padding)
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
         i_stop = i + stride * oh
@@ -60,6 +90,12 @@ def col2im(
     return padded
 
 
+def _graph_free(x: Tensor, weight: Tensor) -> bool:
+    """Whether no gradient can be asked for through ``conv(x, weight)``:
+    then the forward is returned bare, with no closure and no parents."""
+    return not (grad_enabled() and (x.requires_grad or weight.requires_grad))
+
+
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2D convolution.  ``weight`` has shape (F, C/groups, KH, KW)."""
     n, c, h, w = x.shape
@@ -74,7 +110,6 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, groups:
 
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    f_per_group = f // groups
 
     if groups == c and f == c and c_per_group == 1:
         return _depthwise_conv2d(x, weight, stride, padding, oh, ow)
@@ -108,6 +143,8 @@ def _conv2d_grouped(x: Tensor, weight: Tensor, stride: int, padding: int,
         cols_list.append(cols)
         outs[:, g * f_per_group:(g + 1) * f_per_group] = np.matmul(w2[g], cols)
     out_data = outs.reshape(n, f, oh, ow)
+    if _graph_free(x, weight):
+        return Tensor(out_data)
 
     def backward(grad):
         grad = grad.reshape(n, f, p)
@@ -163,6 +200,8 @@ def _conv2d_matmul(x: Tensor, weight: Tensor, stride: int, padding: int,
         w2 = weight.data.reshape(groups, f_per_group, k)
         out = np.matmul(w2, cols_g)
     out_data = out.astype(x.data.dtype, copy=False).reshape(n, f, oh, ow)
+    if _graph_free(x, weight):
+        return Tensor(out_data)
 
     def backward(grad):
         grad = grad.reshape(n, f, p)
@@ -200,11 +239,7 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, stride: int, padding: int,
     """
     n, c, h, w = x.shape
     _f, _one, kh, kw = weight.shape
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding),
-                             (padding, padding)))
-    else:
-        xp = x.data
+    xp = pad2d(x.data, padding)
     out_data = np.zeros((n, c, oh, ow), dtype=x.data.dtype)
     for i in range(kh):
         i_stop = i + stride * oh
@@ -212,6 +247,8 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, stride: int, padding: int,
             j_stop = j + stride * ow
             out_data += (xp[:, :, i:i_stop:stride, j:j_stop:stride]
                          * weight.data[None, :, 0, i, j, None, None])
+    if _graph_free(x, weight):
+        return Tensor(out_data)
 
     def backward(grad):
         if weight.requires_grad:
@@ -242,14 +279,7 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, stride: int, padding: int,
 def max_pool2d(x: Tensor, kernel: int, stride: int = None, padding: int = 0) -> Tensor:
     stride = stride or kernel
     n, c, h, w = x.shape
-    if padding:
-        data = np.pad(
-            x.data,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            constant_values=-np.inf,
-        )
-    else:
-        data = x.data
+    data = pad2d(x.data, padding, -np.inf)
     cols, oh, ow = _pool_cols(data, kernel, stride)
     # cols: (n, c, k*k, oh*ow)
     argmax = cols.argmax(axis=2)
@@ -273,10 +303,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int = None, padding: int = 0) -> 
 def avg_pool2d(x: Tensor, kernel: int, stride: int = None, padding: int = 0) -> Tensor:
     stride = stride or kernel
     n, c, h, w = x.shape
-    if padding:
-        data = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        data = x.data
+    data = pad2d(x.data, padding)
     cols, oh, ow = _pool_cols(data, kernel, stride)
     out_data = cols.mean(axis=2).reshape(n, c, oh, ow)
 

@@ -150,13 +150,27 @@ class BatchNorm2d(Module):
         Performs the exact operation sequence of the Tensor path —
         ``(var + eps) ** -0.5`` then ``((x - mean) * inv) * gamma + beta``
         with the same float64 broadcasts — so outputs are bit-identical;
-        it merely skips boxing each intermediate in a Tensor.
+        it merely skips boxing each intermediate in a Tensor, and writes
+        every step into the one buffer ``x - mean`` allocates.  That
+        buffer already has the result dtype unless a later operand is
+        wider (with float32 statistics and input, ``inv`` is float64
+        because ``eps`` is); then the steps run out of place, promoting
+        exactly where the Tensor path does.
         """
         rm = self._buffers["running_mean"].reshape(1, -1, 1, 1)
         rv = self._buffers["running_var"].reshape(1, -1, 1, 1)
-        inv = (rv + self.eps) ** -0.5
-        out = ((x.data - rm) * inv) * self.gamma.data.reshape(1, -1, 1, 1)
-        return Tensor(out + self.beta.data.reshape(1, -1, 1, 1))
+        # eps enters as float64, as the Tensor path's boxed scalar does,
+        # so float32 statistics promote here exactly as they do there
+        inv = (rv + np.float64(self.eps)) ** -0.5
+        gamma = self.gamma.data.reshape(1, -1, 1, 1)
+        beta = self.beta.data.reshape(1, -1, 1, 1)
+        out = x.data - rm
+        if np.result_type(out, inv, gamma, beta) != out.dtype:
+            return Tensor((out * inv) * gamma + beta)
+        out *= inv
+        out *= gamma
+        out += beta
+        return Tensor(out)
 
 
 class LayerNorm(Module):

@@ -120,6 +120,34 @@ class TestBatchNormEvalFastPath:
                 fast = bn(Tensor(x)).data
         np.testing.assert_array_equal(ref, fast)
 
+    @pytest.mark.parametrize("x_dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stats_dtype,affine_dtype", [
+        (np.float64, np.float64),   # the default model
+        (np.float32, np.float32),   # a model after cast(np.float32)
+        (np.float32, np.float64),   # a later operand wider than x - mean
+    ])
+    def test_eval_forward_same_bytes_and_input_untouched(
+            self, x_dtype, stats_dtype, affine_dtype):
+        """The in-place fast path writes only into its own buffer and
+        gives the Tensor path's exact bytes and dtype for every mix."""
+        rng = np.random.default_rng(15)
+        bn = BatchNorm2d(6).eval()
+        bn._buffers["running_mean"] = rng.standard_normal(6).astype(stats_dtype)
+        bn._buffers["running_var"] = rng.uniform(0.2, 2.0, 6).astype(stats_dtype)
+        bn.gamma.data = rng.standard_normal(6).astype(affine_dtype)
+        bn.beta.data = rng.standard_normal(6).astype(affine_dtype)
+        x = rng.standard_normal((4, 6, 5, 5)).astype(x_dtype)
+        x_before = x.copy()
+        with no_grad():
+            with overrides(vectorized_autograd=False):
+                ref = bn(Tensor(x)).data
+            with overrides(vectorized_autograd=True):
+                fast = bn(Tensor(x)).data
+        assert fast.dtype == ref.dtype and fast.shape == ref.shape
+        assert fast.tobytes() == ref.tobytes()
+        assert x.tobytes() == x_before.tobytes()
+        assert not np.shares_memory(fast, x)
+
     def test_fast_path_keeps_parameter_gradients(self):
         """The raw-numpy path must not engage while gradients are on —
         gamma/beta still train even when the input itself is frozen."""
